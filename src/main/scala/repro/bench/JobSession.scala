@@ -2,7 +2,9 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared SparkSession builder for the spark-submit entrypoints in jobs/. */
+/** The one SparkSession builder: the spark-submit entrypoints in jobs/, the
+  * test and bench suites (`SparkSpec`) and the benchmark all start here.
+  */
 object JobSession {
   def create(name: String): SparkSession = {
     val s = SparkSession.builder()

@@ -1,11 +1,10 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.DeepJoin
+import repro.core.{DeepJoin, DeepJoinIndex}
 import repro.embed._
 import repro.join.{Josie, LshEnsemble, Pexeso}
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
-import repro.text.{Contextualizer, TextOption}
 
 /** Efficiency experiments: Tables 13–15 of the paper.
   *
@@ -34,12 +33,13 @@ object TimingBench {
     repoCache.getOrElseUpdate((cfg.name, n),
       LakeGenerator.columns(spark, cfg, n).collect().toSeq.sortBy(_.id))
 
-  def embFor(spark: SparkSession, cfg: LakeConfig, repo: Seq[LakeColumn],
+  /** Bulk embeddings of the first `n` columns, encoded from the generator's
+    * Dataset (the same columns as [[repoFor]], without shipping them back).
+    */
+  def embFor(spark: SparkSession, cfg: LakeConfig, n: Int,
              name: String, emb: ColumnEmbedder): Array[(Long, Array[Float])] =
-    embCache.getOrElseUpdate((cfg.name, repo.size, name), {
-      import spark.implicits._
-      DeepJoin.encodeAll(spark, spark.createDataset(repo), emb)
-    })
+    embCache.getOrElseUpdate((cfg.name, n, name),
+      DeepJoin.encodeAll(spark, LakeGenerator.columns(spark, cfg, n), emb))
 
   /** A per-query timed runner: returns (encodeMs, totalMs). */
   trait Runner { def run(q: LakeColumn, k: Int): (Double, Double) }
@@ -65,7 +65,7 @@ object TimingBench {
     def run(q: LakeColumn, k: Int): (Double, Double) = (0.0, timeMs(idx.topK(q.cells, tau, k)))
   }
 
-  private val idxCache = TrieMap.empty[(String, Int, String), repro.core.DeepJoinIndex]
+  private val idxCache = TrieMap.empty[(String, Int, String), DeepJoinIndex]
 
   /** HNSW index over a prefix of cached embeddings (built once per
     * (corpus, size, embedder); lighter construction parameters than the
@@ -73,24 +73,25 @@ object TimingBench {
     */
   def indexFor(cfgName: String, embName: String, n: Int,
                embeddings: Array[(Long, Array[Float])],
-               embedder: ColumnEmbedder): repro.core.DeepJoinIndex =
+               embedder: ColumnEmbedder): DeepJoinIndex =
     idxCache.getOrElseUpdate((cfgName, n, embName),
       DeepJoin.buildIndex(embeddings.take(n), embedder, m = 12, efConstruction = 64))
 
-  /** Embedding-based runner over a (cached) HNSW index; the query embedder
-    * may differ from the one that built the index (CPU vs GPU-sim).
+  /** Embedding-based runner: [[DeepJoin.search]] over a (cached) index,
+    * timed by its own [[repro.core.SearchTiming]].
     */
-  final class EmbeddingRunner(idx: repro.core.DeepJoinIndex,
-                              queryEmbedder: ColumnEmbedder) extends Runner {
+  final class SearchRunner(idx: DeepJoinIndex) extends Runner {
     def run(q: LakeColumn, k: Int): (Double, Double) = {
-      val t0 = System.nanoTime()
-      val qv = queryEmbedder.embed(q)
-      val t1 = System.nanoTime()
-      idx.hnsw.search(qv, k, math.max(96, k + 16))
-      val t2 = System.nanoTime()
-      ((t1 - t0) / 1e6, (t2 - t0) / 1e6)
+      val t = DeepJoin.search(idx, q, k)._2
+      (t.encodeMs, t.totalMs)
     }
   }
+
+  /** The same HNSW graph queried through another embedder (GPU-sim rows
+    * share the CPU-built index, as in the paper).
+    */
+  private def withQueryEmbedder(idx: DeepJoinIndex, emb: ColumnEmbedder): DeepJoinIndex =
+    new DeepJoinIndex(idx.hnsw, idx.ids, emb)
 
   /** Mean (encodeMs, totalMs) over the query workload. */
   def measure(runner: Runner, queries: Seq[LakeColumn], k: Int,
@@ -137,8 +138,8 @@ object TimingBench {
 
       val (djCpu, djGpu) = deepJoinEmbedders(spark, cfg, Equi)
       val ft = new FastTextEmbedder()
-      val ftEmbAll = embFor(spark, cfg, repoAll, "fastText", ft)
-      val djEmbAll = embFor(spark, cfg, repoAll, "dj-equi", djCpu)
+      val ftEmbAll = embFor(spark, cfg, sizes.max, "fastText", ft)
+      val djEmbAll = embFor(spark, cfg, sizes.max, "dj-equi", djCpu)
 
       def row(name: String, mk: Seq[LakeColumn] => Runner,
               slice: Int => Seq[LakeColumn] = n => repoAll.take(n)): Unit = {
@@ -155,15 +156,15 @@ object TimingBench {
       row("LSH Ensemble", repo => new LshRunner(repo))
       row("JOSIE", repo => new JosieRunner(repo))
       row("fastText", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "fastText", repo.size, ftEmbAll, ft), ft))
+        new SearchRunner(indexFor(cfg.name, "fastText", repo.size, ftEmbAll, ft)))
       row("DeepJoin (CPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djCpu))
-      row("DeepJoin (GPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djGpu))
+        new SearchRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu)))
+      row("DeepJoin (GPU)", repo => new SearchRunner(withQueryEmbedder(
+        indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djGpu)))
 
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
-      val djEmbAllS = embFor(spark, cfg, repoAll, "dj-sem", djCpuS)
+      val djEmbAllS = embFor(spark, cfg, sizes.max, "dj-sem", djCpuS)
       // PEXESO over the full sweep is the slowest method; cap its sizes at
       // the first three to keep the bench under control and note the cap.
       val pexesoSizes = sizes.take(3)
@@ -173,9 +174,9 @@ object TimingBench {
       }
       println(f"${"PEXESO"}%-18s enc=${0.0}%8.2f  total=${pexTimes.map(t => f"$t%8.2f").mkString(" ")}  (first ${pexesoSizes.size} sizes)")
       row("DeepJoin (CPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djCpuS))
-      row("DeepJoin (GPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djGpuS))
+        new SearchRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS)))
+      row("DeepJoin (GPU)", repo => new SearchRunner(withQueryEmbedder(
+        indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djGpuS)))
     }
   }
 
@@ -189,8 +190,8 @@ object TimingBench {
       val repo = repoFor(spark, cfg, n)
       val (djCpu, djGpu) = deepJoinEmbedders(spark, cfg, Equi)
       val ft = new FastTextEmbedder()
-      val ftEmb = embFor(spark, cfg, repo, "fastText", ft)
-      val djEmb = embFor(spark, cfg, repo, "dj-equi", djCpu)
+      val ftEmb = embFor(spark, cfg, n, "fastText", ft)
+      val djEmb = embFor(spark, cfg, n, "dj-equi", djCpu)
 
       def row(name: String, runner: Runner): Unit = {
         val t = ksSweep.map(k => measure(runner, queries, k)._2)
@@ -199,19 +200,19 @@ object TimingBench {
       println(s"-- equi-joins")
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
-      row("fastText", new EmbeddingRunner(indexFor(cfg.name, "fastText", n, ftEmb, ft), ft))
+      row("fastText", new SearchRunner(indexFor(cfg.name, "fastText", n, ftEmb, ft)))
       val djIdx = indexFor(cfg.name, "dj-equi", n, djEmb, djCpu)
-      row("DeepJoin (CPU)", new EmbeddingRunner(djIdx, djCpu))
-      row("DeepJoin (GPU)", new EmbeddingRunner(djIdx, djGpu))
+      row("DeepJoin (CPU)", new SearchRunner(djIdx))
+      row("DeepJoin (GPU)", new SearchRunner(withQueryEmbedder(djIdx, djGpu)))
 
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
-      val djEmbS = embFor(spark, cfg, repo, "dj-sem", djCpuS)
+      val djEmbS = embFor(spark, cfg, n, "dj-sem", djCpuS)
       val nPex = math.min(n, sizesFor(cfg.name).head)
       row(s"PEXESO (|X|=$nPex)", new PexesoRunner(repo.take(nPex), 0.9))
       val djIdxS = indexFor(cfg.name, "dj-sem", n, djEmbS, djCpuS)
-      row("DeepJoin (CPU)", new EmbeddingRunner(djIdxS, djCpuS))
-      row("DeepJoin (GPU)", new EmbeddingRunner(djIdxS, djGpuS))
+      row("DeepJoin (CPU)", new SearchRunner(djIdxS))
+      row("DeepJoin (GPU)", new SearchRunner(withQueryEmbedder(djIdxS, djGpuS)))
     }
   }
 
@@ -227,14 +228,14 @@ object TimingBench {
     val ft = new FastTextEmbedder()
     AccuracyBench.bands.zipWithIndex.foreach { case ((label, lo, hi), bi) =>
       val hiCap = if (hi == Int.MaxValue) cfg.maxCells else hi
-      val repo = LakeGenerator.columnsInSizeBand(spark, cfg, nPerBand, lo, hiCap,
-        salt = 0xf15L + bi).collect().toSeq.sortBy(_.id)
-      val queries = LakeGenerator.queriesInSizeBandLocal(cfg, 10, lo, hiCap)
-      import spark.implicits._
-      val repoDs = spark.createDataset(repo)
+      val repoDs = LakeGenerator.columnsInSizeBand(spark, cfg, nPerBand, lo, hiCap,
+        salt = 0xf15L + bi).cache()
       val ftEmb = DeepJoin.encodeAll(spark, repoDs, ft)
       val djEmb = DeepJoin.encodeAll(spark, repoDs, djCpu)
       val djEmbS = DeepJoin.encodeAll(spark, repoDs, djCpuS)
+      val repo = repoDs.collect().toSeq.sortBy(_.id)
+      repoDs.unpersist()
+      val queries = LakeGenerator.queriesInSizeBandLocal(cfg, 10, lo, hiCap)
 
       println(s"-- |Q|,|X| in $label")
       def row(name: String, runner: Runner): Unit = {
@@ -243,15 +244,15 @@ object TimingBench {
       }
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
-      row("fastText", new EmbeddingRunner(
-        indexFor(cfg.name, s"b$bi-fastText", repo.size, ftEmb, ft), ft))
+      row("fastText", new SearchRunner(
+        indexFor(cfg.name, s"b$bi-fastText", repo.size, ftEmb, ft)))
       val djIdx = indexFor(cfg.name, s"b$bi-dj-equi", repo.size, djEmb, djCpu)
-      row("DeepJoin (CPU)", new EmbeddingRunner(djIdx, djCpu))
-      row("DeepJoin (GPU)", new EmbeddingRunner(djIdx, djGpu))
+      row("DeepJoin (CPU)", new SearchRunner(djIdx))
+      row("DeepJoin (GPU)", new SearchRunner(withQueryEmbedder(djIdx, djGpu)))
       row("PEXESO", new PexesoRunner(repo, 0.9))
       val djIdxS = indexFor(cfg.name, s"b$bi-dj-sem", repo.size, djEmbS, djCpuS)
-      row("DeepJoin-sem (CPU)", new EmbeddingRunner(djIdxS, djCpuS))
-      row("DeepJoin-sem (GPU)", new EmbeddingRunner(djIdxS, djGpuS))
+      row("DeepJoin-sem (CPU)", new SearchRunner(djIdxS))
+      row("DeepJoin-sem (GPU)", new SearchRunner(withQueryEmbedder(djIdxS, djGpuS)))
     }
   }
 }

@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{DeepJoin, DeepJoinIndex}
 import repro.embed._
-import repro.join.{Joinability, Josie, LshEnsemble, Pexeso}
+import repro.join.{Joinability, Pexeso}
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
 import repro.train.{MlpBaseline, Trainer, TrainingData}
@@ -121,18 +121,6 @@ object World {
         TrainingData.semanticPositives(spark, c.train, tau, posThreshold)
     })
 
-  private val trainCellVecCache = TrieMap.empty[(String, Int), Map[Long, Array[Array[Float]]]]
-
-  /** True pairwise joinability between training columns (negative targets). */
-  def pairJn(c: Corpus, jt: JoinType): (LakeColumn, LakeColumn) => Double = jt match {
-    case Equi => (a, b) => Joinability.equiJn(a.cells, b.cells)
-    case Semantic(tau) =>
-      val vecs = trainCellVecCache.getOrElseUpdate((c.cfg.name, c.train.size),
-        c.train.par.map(col =>
-          col.id -> repro.embed.CellEmbedder.default.embedColumn(col.cells)).seq.toMap)
-      (a, b) => Joinability.semanticJn(vecs(a.id), vecs(b.id), tau)
-  }
-
   /** The paper's best shuffle rates (Tables 11–12). */
   def defaultShuffleRate(corpusName: String, jt: JoinType): Double =
     (corpusName, jt) match {
@@ -145,26 +133,32 @@ object World {
   /** Cap on training pairs, to keep ablation sweeps tractable. */
   val maxTrainPairs = 20000
 
-  private val modelCache = TrieMap.empty[String, PlmEmbedder]
+  /** DeepJoin's fine-tuning schedule (Section 4.2; DESIGN.md §1b.2): MNR
+    * loss with scale 20, two epochs, the last one batched group-first.
+    */
+  private val trainConfig: Trainer.Config =
+    Trainer.Config(epochs = 2, lr = 2e-3, scale = 20.0, hardNegativeFrac = 0.25)
+
+  /** What a fine-tuned model depends on besides the fixed schedule. */
+  private final case class ModelKey(corpus: String, trainSize: Int, jt: JoinType,
+                                    plm: PlmConfig, option: TextOption,
+                                    shuffleRate: Double)
+
+  private val modelCache = TrieMap.empty[ModelKey, PlmEmbedder]
 
   /** Fine-tune a DeepJoin model: featurize (Spark), augment, train head. */
   def trainDeepJoin(spark: SparkSession, c: Corpus, jt: JoinType,
                     plm: PlmConfig,
                     option: TextOption = TextOption.default,
-                    shuffleRate: Double = -1.0,
-                    epochs: Int = 2,
-                    hardNegativeFrac: Double = 0.25,
-                    mnrScale: Double = 20.0,
-                    loss: String = "mnr",
-                    headKind: String = "diag",
-                    lr: Double = 2e-3): PlmEmbedder = {
+                    shuffleRate: Double = -1.0): PlmEmbedder = {
     val rate = if (shuffleRate >= 0) shuffleRate else defaultShuffleRate(c.cfg.name, jt)
-    val cacheKey = Seq(c.cfg.name, c.train.size, jt.label, plm.name, option.name,
-      rate, epochs, hardNegativeFrac, mnrScale, loss, headKind, lr).mkString("/")
-    modelCache.get(cacheKey) match {
-      case Some(m) => return m
-      case None =>
-    }
+    modelCache.getOrElseUpdate(ModelKey(c.cfg.name, c.train.size, jt, plm, option, rate),
+      fineTune(spark, c, jt, plm, option, rate))
+  }
+
+  private def fineTune(spark: SparkSession, c: Corpus, jt: JoinType,
+                       plm: PlmConfig, option: TextOption,
+                       rate: Double): PlmEmbedder = {
     // DeepJoin's fine-tuned encoder pools cells idf-weighted (the paper's
     // "attention focuses on the cells more probable to match"); raw PLM
     // baselines do not (their pre-training never saw the repository).
@@ -194,50 +188,22 @@ object World {
         .collect()
         .toMap
 
-    val trainSeed = Words.mixSeed(c.cfg.name, jt.label, option.name, rate)
-    val effLr = if (lr > 0) lr else if (headKind == "diag") 5e-3 else 1e-3
-    val trainCfg = Trainer.Config(epochs = epochs, lr = effLr,
-      hardNegativeFrac = hardNegativeFrac, scale = mnrScale,
-      headKind = headKind, seed = trainSeed)
-
-    val (head, losses) =
-      if (loss == "mnr") {
-        // Masking uses the original x id even for shuffled copies (the
-        // shuffled column has the same joinability structure as its source).
-        val knownPos: Set[(Long, Long)] = pos0.map(p => (p.x.id, p.y.id)).toSet
-        val examples = augmented.zipWithIndex.map { case (p, i) =>
-          val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
-          Trainer.Example(feats(xKey), feats(p.y.id), p.x.id, p.y.id, p.x.domain)
-        }.toIndexedSeq
-        Trainer.train(examples, base.cfg.dim, trainCfg, knownPositives = knownPos)
-      } else {
-        // Graded cosine regression: positives with their jn targets plus
-        // sampled same-domain and cross-domain negatives with true jn.
-        val jn = pairJn(c, jt)
-        val posEx = augmented.zipWithIndex.map { case (p, i) =>
-          val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
-          Trainer.RegExample(feats(xKey), feats(p.y.id), p.jn.toFloat)
-        }
-        val rnd = new scala.util.Random(trainSeed ^ 0x9e9L)
-        val byDomain = c.train.groupBy(_.domain).view.mapValues(_.toIndexedSeq).toMap
-        val negEx = (0 until math.max(64, augmented.size * 3 / 2)).flatMap { i =>
-          val a = c.train(rnd.nextInt(c.train.size))
-          val b =
-            if (i % 2 == 0) {
-              val grp = byDomain(a.domain)
-              grp(rnd.nextInt(grp.size))
-            } else c.train(rnd.nextInt(c.train.size))
-          if (b.id == a.id) None
-          else Some(Trainer.RegExample(feats(a.id), feats(b.id), jn(a, b).toFloat))
-        }
-        Trainer.trainRegression((posEx ++ negEx).toIndexedSeq, base.cfg.dim, trainCfg)
-      }
+    val cfg = trainConfig.copy(seed = Words.mixSeed(c.cfg.name, jt.label, option.name, rate))
+    // Masking uses the original x id even for shuffled copies (the
+    // shuffled column has the same joinability structure as its source).
+    val knownPos: Set[(Long, Long)] = pos0.map(p => (p.x.id, p.y.id)).toSet
+    val examples = augmented.zipWithIndex.map { case (p, i) =>
+      val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
+      Trainer.Example(feats(xKey), feats(p.y.id), p.x.id, p.y.id, p.x.domain)
+    }.toIndexedSeq
+    val (head, losses) = Trainer.train(examples, base.cfg.dim, cfg, knownPositives = knownPos)
+    val byEpoch = losses.zipWithIndex.map { case (l, e) =>
+      f"${if (cfg.isHardEpoch(e)) "hard" else "easy"}:$l%.3f"
+    }
     Console.err.println(
-      f"[train/$loss] ${c.cfg.name}/${jt.label}/${option.name}/r=$rate%.1f pos=${augmented.size} " +
-      s"losses=${losses.map(l => f"$l%.3f").mkString(",")}")
-    val model = new PlmEmbedder(plm, ctx, Some(head), idfPooling = true)
-    modelCache.put(cacheKey, model)
-    model
+      f"[train] ${plm.name} ${c.cfg.name}/${jt.label}/${option.name}/r=$rate%.1f " +
+      s"pos=${augmented.size} losses=${byEpoch.mkString(",")}")
+    new PlmEmbedder(plm, ctx, Some(head), idfPooling = true)
   }
 
   private object Words {
@@ -259,7 +225,7 @@ object World {
 
   /** Build an HNSW index for an embedder over the corpus repository. */
   def index(spark: SparkSession, c: Corpus, embedder: ColumnEmbedder): DeepJoinIndex =
-    DeepJoin.buildIndex(DeepJoin.encodeAll(spark, c.repoDs, embedder), embedder)
+    DeepJoin.buildIndex(spark, c.repoDs, embedder)
 
   /** Retrieve top-k ids for every query. */
   def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn], k: Int,

@@ -120,6 +120,22 @@ class HnswSpec extends AnyFunSuite {
     data.take(7).foreach(h.add)
     assert(h.search(data(0), 20, 64).length == 7)
   }
+  test("layer 0 is one connected component with degree at most 2m") {
+    val h = build()
+    val n = h.size
+    // Undirected closure of the layer-0 links, walked depth-first from 0.
+    val adj = Array.fill(n)(scala.collection.mutable.ArrayBuffer.empty[Int])
+    (0 until n).foreach(i => h.neighbors(i, 0).foreach { j => adj(i) += j; adj(j) += i })
+    val seen = new Array[Boolean](n)
+    val stack = scala.collection.mutable.Stack(0)
+    while (stack.nonEmpty) {
+      val x = stack.pop()
+      if (!seen(x)) { seen(x) = true; adj(x).foreach(stack.push) }
+    }
+    assert(seen.count(identity) == n, "layer 0 is disconnected")
+    val degrees = (0 until n).map(h.neighbors(_, 0).length)
+    assert(degrees.max <= 2 * h.m, s"max layer-0 degree ${degrees.max}")
+  }
 }
 
 class KMeansSpec extends AnyFunSuite {

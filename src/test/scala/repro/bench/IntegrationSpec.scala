@@ -3,7 +3,6 @@ package repro.bench
 import repro.SparkSpec
 import repro.embed.{FastTextEmbedder, PlmConfig}
 import repro.lake.LakeConfig
-import repro.text.TextOption
 
 /** End-to-end pipeline integration at toy scale: corpus → labels → training
   * → index → retrieval → metrics. The bench suites run the full-scale
@@ -41,8 +40,7 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(World.positives(spark, c, Equi).nonEmpty)
   }
   test("trainDeepJoin produces a working fine-tuned embedder") {
-    val dj = World.trainDeepJoin(spark, c, Equi, PlmConfig.distilbert,
-      TextOption.default, epochs = 1)
+    val dj = World.trainDeepJoin(spark, c, Equi, PlmConfig.distilbert)
     assert(dj.head.isDefined)
     val v = dj.embed(c.queries.head)
     assert(v.length == dj.dim)

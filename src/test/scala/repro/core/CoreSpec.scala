@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.embed.{FastTextEmbedder, PlmConfig, PlmEmbedder, VecOps}
+import repro.embed.{FastTextEmbedder, PlmConfig, PlmEmbedder}
 import repro.lake.{LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
 
