@@ -60,7 +60,7 @@ final class Hnsw(
     l = math.min(lvl, topLevel)
     while (l >= 0) {
       val cands = searchLayer(v, Seq(ep), efConstruction, l)
-      val selected = selectNeighbors(v, cands, m)
+      val selected = selectNeighbors(cands, m)
       val lst = links(id)(l)
       selected.foreach { case (nid, _) => lst += nid }
       val cap = if (l == 0) mMax0 else m
@@ -151,13 +151,13 @@ final class Hnsw(
   }
 
   /** Neighbor-selection heuristic (Algorithm 4 of the HNSW paper): walk the
-    * candidates in ascending distance to `q` and keep a candidate only if it
-    * is closer to `q` than to every already-selected neighbor. This retains
-    * long-range links between clusters, which plain closest-M selection
-    * destroys (and with it, recall on clustered data).
+    * candidates, each paired with its distance to the base element, in
+    * ascending distance and keep one only if it is closer to the base than
+    * to every already-selected neighbor. This retains long-range links
+    * between clusters, which plain closest-M selection destroys (and with
+    * it, recall on clustered data).
     */
-  private def selectNeighbors(q: Array[Float], cands: Seq[(Int, Float)],
-                              cap: Int): Seq[(Int, Float)] = {
+  private def selectNeighbors(cands: Seq[(Int, Float)], cap: Int): Seq[(Int, Float)] = {
     val result = mutable.ArrayBuffer.empty[(Int, Float)]
     val it = cands.iterator
     while (it.hasNext && result.length < cap) {
@@ -178,7 +178,7 @@ final class Hnsw(
     val nl = links(node)(level)
     val v = vecs(node)
     val sorted = nl.distinct.map(nid => (nid, VecOps.l2(v, vecs(nid)))).sortBy(_._2)
-    val kept = selectNeighbors(v, sorted.toSeq, cap)
+    val kept = selectNeighbors(sorted.toSeq, cap)
     nl.clear()
     nl ++= kept.map(_._1)
   }

@@ -17,8 +17,8 @@ final class IvfPq private (
     coarse: KMeans.Model,
     codebooks: Array[Array[Array[Float]]], // [sub][code][subDim]
     lists: Array[mutable.ArrayBuffer[Int]], // list -> vector ids
-    codes: Array[Array[Byte]],              // id -> sub-codes
-    listOf: Array[Int]) extends Serializable {
+    codes: Array[Array[Byte]])              // id -> sub-codes
+  extends Serializable {
 
   private val mSub = codebooks.length
   private val subDim = dim / mSub
@@ -122,6 +122,6 @@ object IvfPq {
     }
     val lists = Array.fill(coarse.k)(mutable.ArrayBuffer.empty[Int])
     listOf.zipWithIndex.foreach { case (li, id) => lists(li) += id }
-    new IvfPq(dim, coarse, codebooks, lists, codes, listOf)
+    new IvfPq(dim, coarse, codebooks, lists, codes)
   }
 }

@@ -40,7 +40,7 @@ object KMeans {
     val kk = math.min(k, data.length)
     // Init: distinct random picks.
     val picks = r.shuffle(data.indices.toVector).take(kk)
-    var cents = picks.map(i => VecOps.copy(data(i))).toArray
+    val cents = picks.map(i => VecOps.copy(data(i))).toArray
 
     var it = 0
     while (it < iters) {

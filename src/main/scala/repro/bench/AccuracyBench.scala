@@ -1,12 +1,10 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.DeepJoin
 import repro.embed._
-import repro.join.{Joinability, LshEnsemble}
-import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
+import repro.join.LshEnsemble
+import repro.lake.{LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
-import scala.collection.concurrent.TrieMap
 
 /** Accuracy experiments: Tables 3–12 of the paper.
   *
@@ -23,69 +21,80 @@ object AccuracyBench {
 
   // ------------------------------------------------------------- retrieval
 
-  private val retrievalCache = TrieMap.empty[(String, Int, String), Map[Long, Seq[Long]]]
+  /** What a retrieval depends on besides its corpus; `method` names the
+    * embedder, so one name must mean one embedder per corpus.
+    */
+  private final case class Retrieval(method: String, k: Int)
 
-  /** Retrieve top-kMax ids per query with an embedder (cached by name). */
+  /** Top-k ids per query with an embedder, memoized on the corpus. */
   def retrieve(spark: SparkSession, c: World.Corpus, name: String,
-               emb: ColumnEmbedder): Map[Long, Seq[Long]] =
-    retrievalCache.getOrElseUpdate((c.cfg.name, c.repo.size, name), {
-      val idx = World.index(spark, c, emb)
-      World.retrieveAll(idx, c.queries, kMax)
-    })
+               emb: => ColumnEmbedder, k: Int = kMax): Map[Long, Seq[Long]] =
+    c.cached(Retrieval(name, k))(World.retrieveAll(World.index(spark, c, emb), c.queries, k))
 
-  /** LSH Ensemble retrieval (cached). */
-  def retrieveLsh(c: World.Corpus): Map[Long, Seq[Long]] =
-    retrievalCache.getOrElseUpdate((c.cfg.name, c.repo.size, "LSH Ensemble"), {
+  /** LSH Ensemble top-k ids per query, memoized on the corpus. LSH
+    * Ensemble's top-k is not a prefix of its top-kMax (a partition with
+    * fewer than k banding candidates is scanned in full), hence the `k`.
+    */
+  def retrieveLsh(c: World.Corpus, k: Int = kMax): Map[Long, Seq[Long]] =
+    c.cached(Retrieval("LSH Ensemble", k)) {
       val lsh = LshEnsemble.build(c.repo.map(col => (col.id, col.cells)))
-      c.queries.map(q => q.id -> lsh.topK(q.cells, kMax).map(_._1)).toMap
-    })
+      c.queries.map(q => q.id -> lsh.topK(q.cells, k).map(_._1)).toMap
+    }
 
   // --------------------------------------------------------- method suites
 
-  /** The methods of Table 3 (equi-joins): name -> retrieval map. */
-  def equiMethods(spark: SparkSession, c: World.Corpus): Seq[(String, Map[Long, Seq[Long]])] = {
+  /** The methods of Table 3 (equi-joins): name -> top-k retrieval over `c`,
+    * with the learned methods trained on `trainOn`.
+    */
+  def equiMethods(spark: SparkSession, trainOn: World.Corpus, c: World.Corpus,
+                  k: Int = kMax): Seq[(String, Map[Long, Seq[Long]])] = {
     val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
+    def r(name: String, emb: => ColumnEmbedder) = retrieve(spark, c, name, emb, k)
     Seq(
-      "LSH Ensemble" -> retrieveLsh(c),
-      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder()),
-      "BERT" -> retrieve(spark, c, "BERT", new PlmEmbedder(PlmConfig.bert, ctxCol)),
-      "MPNet" -> retrieve(spark, c, "MPNet", new PlmEmbedder(PlmConfig.mpnet, ctxCol)),
-      "TaBERT" -> retrieve(spark, c, "TaBERT", new TabertEmbedder()),
-      "MLP" -> retrieve(spark, c, "MLP", World.trainMlp(spark, c)),
-      "DeepJoin-DistilBERT" -> retrieve(spark, c, "DJ-DistilBERT-equi",
-        World.trainDeepJoin(spark, c, Equi, PlmConfig.distilbert)),
-      "DeepJoin-MPNet" -> retrieve(spark, c, "DJ-MPNet-equi",
-        World.trainDeepJoin(spark, c, Equi, PlmConfig.mpnet)),
+      "LSH Ensemble" -> retrieveLsh(c, k),
+      "fastText" -> r("fastText", new FastTextEmbedder()),
+      "BERT" -> r("BERT", new PlmEmbedder(PlmConfig.bert, ctxCol)),
+      "MPNet" -> r("MPNet", new PlmEmbedder(PlmConfig.mpnet, ctxCol)),
+      "TaBERT" -> r("TaBERT", new TabertEmbedder()),
+      "MLP" -> r("MLP", World.trainMlp(spark, trainOn)),
+      "DeepJoin-DistilBERT" -> r("DJ-DistilBERT-equi",
+        World.trainDeepJoin(spark, trainOn, Equi, PlmConfig.distilbert)),
+      "DeepJoin-MPNet" -> r("DJ-MPNet-equi",
+        World.trainDeepJoin(spark, trainOn, Equi, PlmConfig.mpnet)),
     )
   }
 
-  /** The methods of Tables 4–6 (semantic joins at threshold τ). */
-  def semanticMethods(spark: SparkSession, c: World.Corpus,
-                      tau: Double): Seq[(String, Map[Long, Seq[Long]])] =
+  /** The methods of Tables 4–6 (semantic joins at threshold τ), trained on
+    * `trainOn` and retrieving over `c`.
+    */
+  def semanticMethods(spark: SparkSession, trainOn: World.Corpus, c: World.Corpus,
+                      tau: Double, k: Int = kMax): Seq[(String, Map[Long, Seq[Long]])] = {
+    def r(name: String, emb: => ColumnEmbedder) = retrieve(spark, c, name, emb, k)
     Seq(
-      "LSH Ensemble" -> retrieveLsh(c),
-      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder()),
-      "DeepJoin-DistilBERT" -> retrieve(spark, c, s"DJ-DistilBERT-sem$tau",
-        World.trainDeepJoin(spark, c, Semantic(tau), PlmConfig.distilbert)),
-      "DeepJoin-MPNet" -> retrieve(spark, c, s"DJ-MPNet-sem$tau",
-        World.trainDeepJoin(spark, c, Semantic(tau), PlmConfig.mpnet)),
+      "LSH Ensemble" -> retrieveLsh(c, k),
+      "fastText" -> r("fastText", new FastTextEmbedder()),
+      "DeepJoin-DistilBERT" -> r(s"DJ-DistilBERT-sem$tau",
+        World.trainDeepJoin(spark, trainOn, Semantic(tau), PlmConfig.distilbert)),
+      "DeepJoin-MPNet" -> r(s"DJ-MPNet-sem$tau",
+        World.trainDeepJoin(spark, trainOn, Semantic(tau), PlmConfig.mpnet)),
     )
+  }
 
   // -------------------------------------------------------------- printing
 
-  /** Evaluate methods and print one corpus block of an accuracy table. */
-  def printBlock(spark: SparkSession, c: World.Corpus, jt: JoinType,
-                 methods: Seq[(String, Map[Long, Seq[Long]])]): Unit = {
-    val exact = jt match {
-      case Equi => World.exactEqui(spark, c, kMax)
-      case Semantic(tau) => World.exactSemantic(spark, c, tau, kMax)
-    }
-    println(s"-- ${c.cfg.name}, ${jt.label}: precision@k | ndcg@k, k=${ks.mkString(",")}")
-    methods.foreach { case (name, res) =>
+  /** Print one corpus block of an accuracy table: each retrieval scored
+    * against the exact top-kMax, one row per method with its label padded
+    * to `width`, then precision@k | NDCG@k for every k in ks.
+    */
+  private def printBlock(spark: SparkSession, c: World.Corpus, jt: JoinType, title: String,
+                         width: Int, rows: Seq[(String, Map[Long, Seq[Long]])]): Unit = {
+    val exact = World.exact(spark, c, jt, kMax)
+    println(s"-- $title: precision@k | ndcg@k, k=${ks.mkString(",")}")
+    rows.foreach { case (label, res) =>
       val m = World.evalRetrieval(c, jt, res, exact, ks)
       val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
       val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
-      println(f"$name%-22s $ps | $ns")
+      println(s"${label.padTo(width, ' ')} $ps | $ns")
     }
   }
 
@@ -94,7 +103,8 @@ object AccuracyBench {
     println(s"== Table 3: accuracy of equi-joins (scale: repo=${World.repoN}, " +
       s"train=${World.trainN}, queries=${World.queryN}; paper: 1M/30K/50)")
     Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
-      printBlock(spark, World.corpus(spark, cfg), Equi, equiMethods(spark, World.corpus(spark, cfg)))
+      val c = World.corpus(spark, cfg)
+      printBlock(spark, c, Equi, s"${cfg.name}, ${Equi.label}", 22, equiMethods(spark, c, c))
     }
   }
 
@@ -105,7 +115,8 @@ object AccuracyBench {
         s"(scale: repo=${World.repoN}, train=${World.trainN}, queries=${World.queryN})")
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
-        printBlock(spark, c, Semantic(tau), semanticMethods(spark, c, tau))
+        val jt = Semantic(tau)
+        printBlock(spark, c, jt, s"${cfg.name}, ${jt.label}", 22, semanticMethods(spark, c, c, tau))
       }
     }
 
@@ -114,93 +125,37 @@ object AccuracyBench {
   /** Size bands of Table 8 / Table 15. */
   val bands: Seq[(String, Int, Int)] = Seq(("5-10", 5, 10), ("11-50", 11, 50), (">50", 51, Int.MaxValue))
 
-  /** Table 8: accuracy at k=10 per column-size band (Webtable). */
+  /** Table 8: accuracy at k=10 per column-size band (Webtable). Each band is
+    * a corpus of its own (repository and queries in the band); the learned
+    * methods are the ones trained on the full Webtable corpus.
+    */
   def table8(spark: SparkSession): Unit = {
     val cfg = LakeConfig.webtable()
+    val full = World.corpus(spark, cfg)
     val k = 10
+    val tau = 0.9
     val nPerBand = math.max(600, World.repoN / 3)
     println(s"== Table 8: accuracy vs column size, webtable, k=$k " +
       s"(repo=$nPerBand per band; paper: grouped 1M)")
     bands.zipWithIndex.foreach { case ((label, lo, hi), bi) =>
-      import spark.implicits._
       val hiCap = if (hi == Int.MaxValue) cfg.maxCells else hi
       val repoDs = LakeGenerator.columnsInSizeBand(spark, cfg, nPerBand, lo, hiCap,
         salt = 0x8a0L + bi).cache()
-      val repo = repoDs.collect().toSeq.sortBy(_.id)
-      val queries = LakeGenerator.queriesInSizeBandLocal(cfg, World.queryN, lo, hiCap)
-      val c = World.Corpus(cfg, repo, World.corpus(spark, cfg).train, queries,
-        repoDs, World.corpus(spark, cfg).trainDs)
-      // Equi part.
-      val exEq = {
-        val qDs = spark.createDataset(queries)
-        Joinability.equiTopKMap(spark, qDs, repoDs, k)
+      val band = World.Corpus(cfg, repoDs.collect().toSeq.sortBy(_.id), full.train,
+        LakeGenerator.queriesInSizeBandLocal(cfg, World.queryN, lo, hiCap), repoDs, full.trainDs)
+      def block(title: String, jt: JoinType,
+                methods: Seq[(String, Map[Long, Seq[Long]])]): Unit = {
+        val exact = World.exact(spark, band, jt, k)
+        println(s"-- $title, |X| = $label")
+        methods.foreach { case (name, res) =>
+          val (p, n) = World.evalRetrieval(band, jt, res, exact, Seq(k))(k)
+          println(f"$name%-22s P@$k=$p%.3f NDCG@$k=$n%.3f")
+        }
       }
-      val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
-      val equiM = Seq(
-        "LSH Ensemble" -> {
-          val lsh = LshEnsemble.build(repo.map(col => (col.id, col.cells)))
-          queries.map(q => q.id -> lsh.topK(q.cells, k).map(_._1)).toMap
-        },
-        "fastText" -> bandRetrieve(spark, c, new FastTextEmbedder(), k),
-        "BERT" -> bandRetrieve(spark, c, new PlmEmbedder(PlmConfig.bert, ctxCol), k),
-        "MPNet" -> bandRetrieve(spark, c, new PlmEmbedder(PlmConfig.mpnet, ctxCol), k),
-        "TaBERT" -> bandRetrieve(spark, c, new TabertEmbedder(), k),
-        "MLP" -> bandRetrieve(spark, c, World.trainMlp(spark, World.corpus(spark, cfg)), k),
-        "DeepJoin-DistilBERT" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Equi, PlmConfig.distilbert), k),
-        "DeepJoin-MPNet" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Equi, PlmConfig.mpnet), k),
-      )
-      println(s"-- equi, |X| = $label")
-      equiM.foreach { case (name, res) =>
-        val m = World.evalRetrieval(c, Equi, res, exEq, Seq(k))
-        println(f"$name%-22s P@$k=${m(k)._1}%.3f NDCG@$k=${m(k)._2}%.3f")
-      }
-      // Semantic part (tau = 0.9), methods of Table 8's lower block.
-      val tau = 0.9
-      val px = repro.join.Pexeso.build(repo.map(col => (col.id, col.cells)))
-      val exSem = queries.map(q => q.id -> px.topK(q.cells, tau, k)).toMap
-      val semM = Seq(
-        "LSH Ensemble" -> equiM.head._2,
-        "fastText" -> equiM(1)._2,
-        "DeepJoin-DistilBERT" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Semantic(tau), PlmConfig.distilbert), k),
-        "DeepJoin-MPNet" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Semantic(tau), PlmConfig.mpnet), k),
-      )
-      println(s"-- semantic (tau=$tau), |X| = $label")
-      semM.foreach { case (name, res) =>
-        val jnOf = (q: LakeColumn, id: Long) => px.jnOf(q.cells, tau, id)
-        val mtr = evalWithLookup(c, res, exSem, Seq(k), jnOf)
-        println(f"$name%-22s P@$k=${mtr(k)._1}%.3f NDCG@$k=${mtr(k)._2}%.3f")
-      }
+      block("equi", Equi, equiMethods(spark, full, band, k))
+      block(s"semantic (tau=$tau)", Semantic(tau), semanticMethods(spark, full, band, tau, k))
+      repoDs.unpersist()
     }
-  }
-
-  private def bandRetrieve(spark: SparkSession, c: World.Corpus,
-                           emb: ColumnEmbedder, k: Int): Map[Long, Seq[Long]] = {
-    val idx = DeepJoin.buildIndex(DeepJoin.encodeAll(spark, c.repoDs, emb), emb)
-    World.retrieveAll(idx, c.queries, k)
-  }
-
-  /** evalRetrieval with a custom jn lookup (band repos are not cached in
-    * World, so the corpus-level lookups do not apply).
-    */
-  def evalWithLookup(c: World.Corpus, model: Map[Long, Seq[Long]],
-                     exact: Map[Long, Seq[(Long, Double)]], ks: Seq[Int],
-                     jnOf: (LakeColumn, Long) => Double): Map[Int, (Double, Double)] = {
-    import repro.eval.Metrics
-    ks.map { k =>
-      val (ps, ns) = c.queries.map { q =>
-        val ex = exact.getOrElse(q.id, Seq.empty)
-        val known = ex.toMap
-        val lookup = (id: Long) => known.getOrElse(id, jnOf(q, id))
-        val mod = model.getOrElse(q.id, Seq.empty)
-        (Metrics.precisionAtK(mod, ex.map(_._1), k),
-          Metrics.ndcgAtK(mod, ex.map(_._1), k, lookup))
-      }.unzip
-      k -> (Metrics.mean(ps), Metrics.mean(ns))
-    }.toMap
   }
 
   // --------------------------------------------- Tables 9-10 (text options)
@@ -211,19 +166,10 @@ object AccuracyBench {
       println(s"== Table $t: column-to-text transformation, ${jt.label}, DeepJoin-MPNet")
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
-        val exact = jt match {
-          case Equi => World.exactEqui(spark, c, kMax)
-          case Semantic(tau) => World.exactSemantic(spark, c, tau, kMax)
-        }
-        println(s"-- ${cfg.name}: precision@k | ndcg@k, k=${ks.mkString(",")}")
-        TextOption.all.foreach { opt =>
-          val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt)
-          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}", dj)
-          val m = World.evalRetrieval(c, jt, res, exact, ks)
-          val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
-          val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
-          println(f"${opt.name}%-26s $ps | $ns")
-        }
+        printBlock(spark, c, jt, cfg.name, 26, TextOption.all.map { opt =>
+          opt.name -> retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}",
+            World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt))
+        })
       }
     }
 
@@ -237,20 +183,11 @@ object AccuracyBench {
       println(s"== Table $t: cell shuffle ablation, ${jt.label}, DeepJoin-MPNet")
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
-        val exact = jt match {
-          case Equi => World.exactEqui(spark, c, kMax)
-          case Semantic(tau) => World.exactSemantic(spark, c, tau, kMax)
-        }
-        println(s"-- ${cfg.name}: precision@k | ndcg@k, k=${ks.mkString(",")}")
-        shuffleRates.foreach { rate =>
-          val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet,
-            TextOption.default, shuffleRate = rate)
-          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate", dj)
-          val m = World.evalRetrieval(c, jt, res, exact, ks)
-          val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
-          val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
-          println(f"rate=$rate%-21.1f $ps | $ns")
-        }
+        printBlock(spark, c, jt, cfg.name, 26, shuffleRates.map { rate =>
+          f"rate=$rate%.1f" -> retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate",
+            World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, TextOption.default,
+              shuffleRate = rate))
+        })
       }
     }
 }

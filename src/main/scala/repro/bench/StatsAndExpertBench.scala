@@ -45,7 +45,7 @@ object StatsAndExpertBench {
       s"joinability >= $joinableThreshold), k=$k, tau=$tau")
     Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
       val c = World.corpus(spark, cfg)
-      val px = World.pexeso(c)
+      val px = c.pexeso
       val methods: Seq[(String, Map[Long, Seq[Long]])] = Seq(
         "LSH Ensemble" -> AccuracyBench.retrieveLsh(c).map { case (q, ids) => q -> ids.take(k) },
         "fastText" -> AccuracyBench.retrieve(spark, c, "fastText", new FastTextEmbedder())

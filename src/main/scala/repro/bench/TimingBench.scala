@@ -17,7 +17,7 @@ import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
   * Repository sizes are the paper's scaled by ~1/50: webtable 20K..100K
   * (paper 1M..5M), wikitable 4K..20K (paper 200K..1M). Smaller repositories
   * are prefixes of the largest one, so each sweep generates data once, and
-  * HNSW indexes are cached per (corpus, size, embedder) — CPU and GPU-sim
+  * HNSW indexes are cached per (config, size, embedder) — CPU and GPU-sim
   * rows share the same index, as they do in the paper.
   */
 object TimingBench {
@@ -26,11 +26,11 @@ object TimingBench {
 
   // Generated repositories and bulk embeddings are shared across Tables
   // 13/14/15 (the suites run in one JVM).
-  private val repoCache = TrieMap.empty[(String, Int), Seq[LakeColumn]]
-  private val embCache = TrieMap.empty[(String, Int, String), Array[(Long, Array[Float])]]
+  private val repoCache = TrieMap.empty[(LakeConfig, Int), Seq[LakeColumn]]
+  private val embCache = TrieMap.empty[(LakeConfig, Int, String), Array[(Long, Array[Float])]]
 
   def repoFor(spark: SparkSession, cfg: LakeConfig, n: Int): Seq[LakeColumn] =
-    repoCache.getOrElseUpdate((cfg.name, n),
+    repoCache.getOrElseUpdate((cfg, n),
       LakeGenerator.columns(spark, cfg, n).collect().toSeq.sortBy(_.id))
 
   /** Bulk embeddings of the first `n` columns, encoded from the generator's
@@ -38,7 +38,7 @@ object TimingBench {
     */
   def embFor(spark: SparkSession, cfg: LakeConfig, n: Int,
              name: String, emb: ColumnEmbedder): Array[(Long, Array[Float])] =
-    embCache.getOrElseUpdate((cfg.name, n, name),
+    embCache.getOrElseUpdate((cfg, n, name),
       DeepJoin.encodeAll(spark, LakeGenerator.columns(spark, cfg, n), emb))
 
   /** A per-query timed runner: returns (encodeMs, totalMs). */
@@ -65,17 +65,21 @@ object TimingBench {
     def run(q: LakeColumn, k: Int): (Double, Double) = (0.0, timeMs(idx.topK(q.cells, tau, k)))
   }
 
-  private val idxCache = TrieMap.empty[(String, Int, String), DeepJoinIndex]
-
-  /** HNSW index over a prefix of cached embeddings (built once per
-    * (corpus, size, embedder); lighter construction parameters than the
-    * accuracy benches — this table measures time, not recall).
+  /** HNSW with lighter construction than the accuracy benches (these
+    * tables measure time, not recall).
     */
-  def indexFor(cfgName: String, embName: String, n: Int,
+  private def timingIndex(emb: Array[(Long, Array[Float])], embedder: ColumnEmbedder) =
+    DeepJoin.buildIndex(emb, embedder, m = 12, efConstruction = 64)
+
+  private val idxCache = TrieMap.empty[(LakeConfig, Int, String), DeepJoinIndex]
+
+  /** [[timingIndex]] over a prefix of cached embeddings, built once per
+    * (config, size, embedder).
+    */
+  def indexFor(cfg: LakeConfig, embName: String, n: Int,
                embeddings: Array[(Long, Array[Float])],
                embedder: ColumnEmbedder): DeepJoinIndex =
-    idxCache.getOrElseUpdate((cfgName, n, embName),
-      DeepJoin.buildIndex(embeddings.take(n), embedder, m = 12, efConstruction = 64))
+    idxCache.getOrElseUpdate((cfg, n, embName), timingIndex(embeddings.take(n), embedder))
 
   /** Embedding-based runner: [[DeepJoin.search]] over a (cached) index,
     * timed by its own [[repro.core.SearchTiming]].
@@ -141,26 +145,20 @@ object TimingBench {
       val ftEmbAll = embFor(spark, cfg, sizes.max, "fastText", ft)
       val djEmbAll = embFor(spark, cfg, sizes.max, "dj-equi", djCpu)
 
-      def row(name: String, mk: Seq[LakeColumn] => Runner,
-              slice: Int => Seq[LakeColumn] = n => repoAll.take(n)): Unit = {
-        val cells = sizes.map { n =>
-          val r = mk(slice(n))
-          val (enc, tot) = measure(r, queries, k)
-          (enc, tot)
-        }
+      def row(name: String, mk: Int => Runner): Unit = {
+        val cells = sizes.map(n => measure(mk(n), queries, k))
         val encStr = f"${cells.head._1}%8.2f"
         println(f"$name%-18s enc=$encStr  total=${cells.map(c => f"${c._2}%8.2f").mkString(" ")}")
       }
 
       println(s"-- equi-joins")
-      row("LSH Ensemble", repo => new LshRunner(repo))
-      row("JOSIE", repo => new JosieRunner(repo))
-      row("fastText", repo =>
-        new SearchRunner(indexFor(cfg.name, "fastText", repo.size, ftEmbAll, ft)))
-      row("DeepJoin (CPU)", repo =>
-        new SearchRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu)))
-      row("DeepJoin (GPU)", repo => new SearchRunner(withQueryEmbedder(
-        indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djGpu)))
+      row("LSH Ensemble", n => new LshRunner(repoAll.take(n)))
+      row("JOSIE", n => new JosieRunner(repoAll.take(n)))
+      row("fastText", n => new SearchRunner(indexFor(cfg, "fastText", n, ftEmbAll, ft)))
+      row("DeepJoin (CPU)", n =>
+        new SearchRunner(indexFor(cfg, "dj-equi", n, djEmbAll, djCpu)))
+      row("DeepJoin (GPU)", n => new SearchRunner(withQueryEmbedder(
+        indexFor(cfg, "dj-equi", n, djEmbAll, djCpu), djGpu)))
 
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
@@ -173,10 +171,10 @@ object TimingBench {
         measure(r, queries, k)._2
       }
       println(f"${"PEXESO"}%-18s enc=${0.0}%8.2f  total=${pexTimes.map(t => f"$t%8.2f").mkString(" ")}  (first ${pexesoSizes.size} sizes)")
-      row("DeepJoin (CPU)", repo =>
-        new SearchRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS)))
-      row("DeepJoin (GPU)", repo => new SearchRunner(withQueryEmbedder(
-        indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djGpuS)))
+      row("DeepJoin (CPU)", n =>
+        new SearchRunner(indexFor(cfg, "dj-sem", n, djEmbAllS, djCpuS)))
+      row("DeepJoin (GPU)", n => new SearchRunner(withQueryEmbedder(
+        indexFor(cfg, "dj-sem", n, djEmbAllS, djCpuS), djGpuS)))
     }
   }
 
@@ -200,8 +198,8 @@ object TimingBench {
       println(s"-- equi-joins")
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
-      row("fastText", new SearchRunner(indexFor(cfg.name, "fastText", n, ftEmb, ft)))
-      val djIdx = indexFor(cfg.name, "dj-equi", n, djEmb, djCpu)
+      row("fastText", new SearchRunner(indexFor(cfg, "fastText", n, ftEmb, ft)))
+      val djIdx = indexFor(cfg, "dj-equi", n, djEmb, djCpu)
       row("DeepJoin (CPU)", new SearchRunner(djIdx))
       row("DeepJoin (GPU)", new SearchRunner(withQueryEmbedder(djIdx, djGpu)))
 
@@ -210,7 +208,7 @@ object TimingBench {
       val djEmbS = embFor(spark, cfg, n, "dj-sem", djCpuS)
       val nPex = math.min(n, sizesFor(cfg.name).head)
       row(s"PEXESO (|X|=$nPex)", new PexesoRunner(repo.take(nPex), 0.9))
-      val djIdxS = indexFor(cfg.name, "dj-sem", n, djEmbS, djCpuS)
+      val djIdxS = indexFor(cfg, "dj-sem", n, djEmbS, djCpuS)
       row("DeepJoin (CPU)", new SearchRunner(djIdxS))
       row("DeepJoin (GPU)", new SearchRunner(withQueryEmbedder(djIdxS, djGpuS)))
     }
@@ -244,13 +242,12 @@ object TimingBench {
       }
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
-      row("fastText", new SearchRunner(
-        indexFor(cfg.name, s"b$bi-fastText", repo.size, ftEmb, ft)))
-      val djIdx = indexFor(cfg.name, s"b$bi-dj-equi", repo.size, djEmb, djCpu)
+      row("fastText", new SearchRunner(timingIndex(ftEmb, ft)))
+      val djIdx = timingIndex(djEmb, djCpu)
       row("DeepJoin (CPU)", new SearchRunner(djIdx))
       row("DeepJoin (GPU)", new SearchRunner(withQueryEmbedder(djIdx, djGpu)))
       row("PEXESO", new PexesoRunner(repo, 0.9))
-      val djIdxS = indexFor(cfg.name, s"b$bi-dj-sem", repo.size, djEmbS, djCpuS)
+      val djIdxS = timingIndex(djEmbS, djCpuS)
       row("DeepJoin-sem (CPU)", new SearchRunner(djIdxS))
       row("DeepJoin-sem (GPU)", new SearchRunner(withQueryEmbedder(djIdxS, djGpuS)))
     }

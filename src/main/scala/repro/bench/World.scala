@@ -18,8 +18,17 @@ final case class Semantic(tau: Double) extends JoinType {
 }
 
 /** Shared experiment world for the benches: corpora, exact ground truth,
-  * trained models and retrieval evaluation, cached so that the per-table
+  * trained models and retrieval evaluation, memoized so that the per-table
   * suites reuse one another's work.
+  *
+  * There are two memos. [[corpus]] is keyed by the whole [[LakeConfig]] and
+  * the three sizes. Everything derived from a corpus (exact labels,
+  * positives, fine-tuned models, retrievals) is memoized on that
+  * [[Corpus]] instance by [[Corpus.cached]], keyed only by what else the
+  * value depends on: `Exact(jt, k)`, `Positives(jt)`, `Model(jt, plm,
+  * option, rate)`, `Mlp` here and `Retrieval(method, k)` in
+  * [[AccuracyBench]]. A corpus built directly (Table 8's size bands) thus
+  * never shares an entry with another corpus of the same name and size.
   *
   * Default sizes are the paper's scaled by ~1/170 for the accuracy corpora
   * (train 30K→1.2K, repository 1M→6K, 50→25 queries); `BENCH_SCALE`
@@ -54,14 +63,24 @@ object World {
       import scala.jdk.CollectionConverters._
       m.asScala.toMap
     }
+    /** The PEXESO index over the repository (shared across τ). */
+    lazy val pexeso: Pexeso = Pexeso.build(repo.map(col => (col.id, col.cells)))
+
+    private val memo = TrieMap.empty[Product, Any]
+
+    /** `value`, computed once per corpus and key; each key class must
+      * always map to values of one type.
+      */
+    private[bench] def cached[A](key: Product)(value: => A): A =
+      memo.getOrElseUpdate(key, value).asInstanceOf[A]
   }
 
-  private val corpusCache = TrieMap.empty[(String, Int, Int, Int), Corpus]
+  private val corpora = TrieMap.empty[(LakeConfig, Int, Int, Int), Corpus]
 
   def corpus(spark: SparkSession, cfg: LakeConfig,
              nRepo: Int = repoN, nTrain: Int = trainN,
              nQuery: Int = queryN): Corpus =
-    corpusCache.getOrElseUpdate((cfg.name, nRepo, nTrain, nQuery), {
+    corpora.getOrElseUpdate((cfg, nRepo, nTrain, nQuery), {
       val repoDs = LakeGenerator.columns(spark, cfg, nRepo).cache()
       val trainDs = LakeGenerator.columns(spark, cfg, nTrain, idOffset = 500000000L).cache()
       val repo = repoDs.collect().toSeq.sortBy(_.id)
@@ -72,32 +91,21 @@ object World {
 
   // ---------------------------------------------------------------- labels
 
-  private val exactEquiCache = TrieMap.empty[(String, Int, Int), Map[Long, Seq[(Long, Double)]]]
-  private val pexesoCache = TrieMap.empty[(String, Int), Pexeso]
+  private final case class Exact(jt: JoinType, k: Int)
 
-  /** Exact equi top-k per query (Spark inverted-list job). */
-  def exactEqui(spark: SparkSession, c: Corpus, k: Int): Map[Long, Seq[(Long, Double)]] =
-    exactEquiCache.getOrElseUpdate((c.cfg.name, c.repo.size, k), {
-      import spark.implicits._
-      val qDs = spark.createDataset(c.queries)
-      Joinability.equiTopKMap(spark, qDs, c.repoDs, k)
-    })
-
-  /** The PEXESO index over the corpus repository (shared across τ). */
-  def pexeso(c: Corpus): Pexeso =
-    pexesoCache.getOrElseUpdate((c.cfg.name, c.repo.size),
-      Pexeso.build(c.repo.map(col => (col.id, col.cells))))
-
-  private val exactSemCache = TrieMap.empty[(String, Int, Long, Int), Map[Long, Seq[(Long, Double)]]]
-
-  /** Exact semantic top-k per query (PEXESO, data-parallel over queries). */
-  def exactSemantic(spark: SparkSession, c: Corpus, tau: Double,
-                    k: Int): Map[Long, Seq[(Long, Double)]] =
-    exactSemCache.getOrElseUpdate(
-      (c.cfg.name, c.repo.size, java.lang.Double.doubleToLongBits(tau), k), {
-        val px = pexeso(c)
+  /** Exact top-k per query: the Spark inverted-list job for equi-joins,
+    * PEXESO (data-parallel over queries) for semantic joins.
+    */
+  def exact(spark: SparkSession, c: Corpus, jt: JoinType,
+            k: Int): Map[Long, Seq[(Long, Double)]] =
+    c.cached(Exact(jt, k))(jt match {
+      case Equi =>
+        import spark.implicits._
+        Joinability.equiTopKMap(spark, spark.createDataset(c.queries), c.repoDs, k)
+      case Semantic(tau) =>
+        val px = c.pexeso
         c.queries.par.map(q => q.id -> px.topK(q.cells, tau, k)).seq.toMap
-      })
+    })
 
   /** True joinability of (query, column) under the join type. */
   def jnLookup(c: Corpus, jt: JoinType): (LakeColumn, Long) => Double = jt match {
@@ -105,17 +113,17 @@ object World {
       (q, id) => c.repoById.get(id)
         .map(x => Joinability.equiJn(q.cells, x.cells)).getOrElse(0.0)
     case Semantic(tau) =>
-      val px = pexeso(c)
+      val px = c.pexeso
       (q, id) => px.jnOf(q.cells, tau, id)
   }
 
   // ------------------------------------------------------------- training
 
-  /** Positive pairs for the corpus under the join type (cached). */
-  private val positivesCache = TrieMap.empty[(String, String, Int), Seq[TrainingData.Pair]]
+  private final case class Positives(jt: JoinType)
 
+  /** Positive pairs in the corpus's training subset under the join type. */
   def positives(spark: SparkSession, c: Corpus, jt: JoinType): Seq[TrainingData.Pair] =
-    positivesCache.getOrElseUpdate((c.cfg.name, jt.label, c.train.size), jt match {
+    c.cached(Positives(jt))(jt match {
       case Equi => TrainingData.equiPositives(spark, c.trainDs, posThreshold)
       case Semantic(tau) =>
         TrainingData.semanticPositives(spark, c.train, tau, posThreshold)
@@ -139,12 +147,11 @@ object World {
   private val trainConfig: Trainer.Config =
     Trainer.Config(epochs = 2, lr = 2e-3, scale = 20.0, hardNegativeFrac = 0.25)
 
-  /** What a fine-tuned model depends on besides the fixed schedule. */
-  private final case class ModelKey(corpus: String, trainSize: Int, jt: JoinType,
-                                    plm: PlmConfig, option: TextOption,
-                                    shuffleRate: Double)
-
-  private val modelCache = TrieMap.empty[ModelKey, PlmEmbedder]
+  /** What a fine-tuned model depends on besides its corpus and the fixed
+    * schedule.
+    */
+  private final case class Model(jt: JoinType, plm: PlmConfig, option: TextOption,
+                                 rate: Double)
 
   /** Fine-tune a DeepJoin model: featurize (Spark), augment, train head. */
   def trainDeepJoin(spark: SparkSession, c: Corpus, jt: JoinType,
@@ -152,8 +159,7 @@ object World {
                     option: TextOption = TextOption.default,
                     shuffleRate: Double = -1.0): PlmEmbedder = {
     val rate = if (shuffleRate >= 0) shuffleRate else defaultShuffleRate(c.cfg.name, jt)
-    modelCache.getOrElseUpdate(ModelKey(c.cfg.name, c.train.size, jt, plm, option, rate),
-      fineTune(spark, c, jt, plm, option, rate))
+    c.cached(Model(jt, plm, option, rate))(fineTune(spark, c, jt, plm, option, rate))
   }
 
   private def fineTune(spark: SparkSession, c: Corpus, jt: JoinType,
@@ -211,8 +217,10 @@ object World {
       parts.map(_.toString.hashCode.toLong).foldLeft(0x7a11L)((a, b) => a * 31 + b)
   }
 
+  private case object Mlp
+
   /** The MLP baseline trained for the corpus (equi tables only). */
-  def trainMlp(spark: SparkSession, c: Corpus): MlpBaseline = {
+  def trainMlp(spark: SparkSession, c: Corpus): MlpBaseline = c.cached(Mlp) {
     val base = new FastTextEmbedder()
     val pos0 = positives(spark, c, Equi)
     val pos = if (pos0.size <= maxTrainPairs) pos0
@@ -243,14 +251,13 @@ object World {
                     exact: Map[Long, Seq[(Long, Double)]],
                     ks: Seq[Int]): Map[Int, (Double, Double)] = {
     import repro.eval.Metrics
-    val queries = c.queries
+    val lookup = jnLookup(c, jt)
     ks.map { k =>
-      val (ps, ns) = queries.map { q =>
+      val (ps, ns) = c.queries.map { q =>
         val ex = exact.getOrElse(q.id, Seq.empty)
         val exIds = ex.map(_._1)
         val mod = model.getOrElse(q.id, Seq.empty)
         val jnKnown = ex.toMap
-        val lookup = jnLookup(c, jt)
         val jnOf = (id: Long) => jnKnown.getOrElse(id, lookup(q, id))
         (Metrics.precisionAtK(mod, exIds, k), Metrics.ndcgAtK(mod, exIds, k, jnOf))
       }.unzip

@@ -1,7 +1,5 @@
 package repro.join
 
-import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.lake.LakeColumn
 import scala.collection.mutable
 
 /** JOSIE (Zhu et al., SIGMOD 2019): exact top-k overlap set similarity
@@ -19,7 +17,6 @@ import scala.collection.mutable
   */
 final class Josie private (
     val colIds: Array[Long],
-    colSizes: Array[Int],
     tokenOf: java.util.HashMap[String, Integer],
     postings: Array[Array[Int]],
     dfOf: Array[Int]) extends Serializable {
@@ -101,7 +98,6 @@ object Josie {
   def build(cols: Seq[(Long, Seq[String])]): Josie = {
     val n = cols.size
     val colIds = new Array[Long](n)
-    val colSizes = new Array[Int](n)
     val tokenOf = new java.util.HashMap[String, Integer]()
     val postingsBuf = mutable.ArrayBuffer.empty[mutable.ArrayBuffer[Int]]
 
@@ -109,7 +105,6 @@ object Josie {
     cols.foreach { case (id, cells) =>
       colIds(c) = id
       val distinct = cells.distinct
-      colSizes(c) = distinct.size
       distinct.foreach { cell =>
         var t: Integer = tokenOf.get(cell)
         if (t == null) {
@@ -123,14 +118,6 @@ object Josie {
     }
     val postings = postingsBuf.map(_.toArray).toArray
     val dfOf = postings.map(_.length)
-    new Josie(colIds, colSizes, tokenOf, postings, dfOf)
-  }
-
-  /** Build from a Dataset (collects; index structures live on the driver,
-    * as Faiss-style indexes do in the paper).
-    */
-  def build(spark: SparkSession, repo: Dataset[LakeColumn]): Josie = {
-    import spark.implicits._
-    build(repo.map(col => (col.id, col.cells)).collect().toSeq)
+    new Josie(colIds, tokenOf, postings, dfOf)
   }
 }

@@ -1,7 +1,5 @@
 package repro.join
 
-import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.lake.LakeColumn
 import scala.collection.mutable
 
 /** LSH Ensemble (Zhu et al., PVLDB 2016): approximate containment search by
@@ -116,10 +114,5 @@ object LshEnsemble {
       new Partition(ids, sigs, upper, bandRows)
     }.toArray
     new LshEnsemble(mh, parts)
-  }
-
-  def build(spark: SparkSession, repo: Dataset[LakeColumn]): LshEnsemble = {
-    import spark.implicits._
-    build(repo.map(c => (c.id, c.cells)).collect().toSeq)
   }
 }

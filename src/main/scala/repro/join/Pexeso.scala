@@ -1,6 +1,6 @@
 package repro.join
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.embed.{CellEmbedder, VecOps}
 import repro.lake.LakeColumn
 import scala.collection.mutable
@@ -156,11 +156,6 @@ object Pexeso {
     val pivots = selectPivots(sample, nPivots, seed)
     val pivotDists = cellVecs.map(_.map(v => pivots.map(p => VecOps.l2(v, p))))
     new Pexeso(colIds, cellVecs, pivotDists, pivots, embedder)
-  }
-
-  def build(spark: SparkSession, repo: Dataset[LakeColumn]): Pexeso = {
-    import spark.implicits._
-    build(repo.map(c => (c.id, c.cells)).collect().toSeq)
   }
 
   /** Semantic self-join (training positives, Section 4.1): ordered pairs

@@ -71,20 +71,8 @@ object MlpBaseline {
     val w = Array.fill(h)((rnd.nextGaussian() * 0.1).toFloat)
     var b = 0.0f
     val adam = new Adam(Seq(w1.length, b1.length, w.length, 1), cfg.lr)
-
-    def hid(x: Array[Float]): Array[Float] = {
-      val out = new Array[Float](h)
-      var r = 0
-      while (r < h) {
-        var s = b1(r)
-        val off = r * dIn
-        var c = 0
-        while (c < dIn) { s += w1(off + c) * x(c); c += 1 }
-        out(r) = math.tanh(s.toDouble).toFloat
-        r += 1
-      }
-      out
-    }
+    // The model reads w1/b1 by reference; Adam updates them in place.
+    val model = new MlpBaseline(base, w1, b1, h)
 
     var epoch = 0
     while (epoch < cfg.epochs) {
@@ -96,7 +84,7 @@ object MlpBaseline {
         val gB = new Array[Float](1)
         idxs.foreach { i =>
           val (x, y, jn) = examples(i)
-          val hx = hid(x); val hy = hid(y)
+          val hx = model.hiddenOf(x); val hy = model.hiddenOf(y)
           val prod = new Array[Float](h)
           var r = 0
           var z = b.toDouble
@@ -127,7 +115,7 @@ object MlpBaseline {
       }
       epoch += 1
     }
-    new MlpBaseline(base, w1, b1, h)
+    model
   }
 
   /** Convenience: build examples from positives plus random negatives. */

@@ -2,14 +2,15 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.embed.{FastTextEmbedder, PlmConfig}
-import repro.lake.LakeConfig
+import repro.join.{Joinability, Pexeso}
+import repro.lake.{LakeConfig, LakeGenerator}
 
 /** End-to-end pipeline integration at toy scale: corpus → labels → training
   * → index → retrieval → metrics. The bench suites run the full-scale
   * versions; this guards the plumbing in the unit-test run.
   */
 class WorldIntegrationSpec extends SparkSpec {
-  private val cfg = LakeConfig.webtable(seed = 99L) // distinct cache key
+  private val cfg = LakeConfig.webtable(seed = 99L)
   private lazy val c = World.corpus(spark, cfg, nRepo = 400, nTrain = 200, nQuery = 5)
 
   test("corpus has disjoint repo/train/query id spaces") {
@@ -25,7 +26,7 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(c.cellFrequency(v) == expected)
   }
   test("exact equi ground truth is populated and correctly ordered") {
-    val ex = World.exactEqui(spark, c, 10)
+    val ex = World.exact(spark, c, Equi, 10)
     assert(ex.nonEmpty)
     ex.values.foreach { ranked =>
       val jns = ranked.map(_._2)
@@ -33,7 +34,7 @@ class WorldIntegrationSpec extends SparkSpec {
     }
   }
   test("exact semantic ground truth is populated") {
-    val ex = World.exactSemantic(spark, c, 0.9, 10)
+    val ex = World.exact(spark, c, Semantic(0.9), 10)
     assert(ex.values.exists(_.nonEmpty))
   }
   test("equi positives exist at the paper's threshold") {
@@ -48,7 +49,7 @@ class WorldIntegrationSpec extends SparkSpec {
   test("retrieval + evaluation produces sane precision for fastText") {
     val idx = World.index(spark, c, new FastTextEmbedder())
     val res = World.retrieveAll(idx, c.queries, 10)
-    val ex = World.exactEqui(spark, c, 10)
+    val ex = World.exact(spark, c, Equi, 10)
     val m = World.evalRetrieval(c, Equi, res, ex, Seq(10))
     val (p, n) = m(10)
     assert(p >= 0.0 && p <= 1.0)
@@ -65,6 +66,43 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(World.defaultShuffleRate("webtable", Semantic(0.9)) == 0.3)
     assert(World.defaultShuffleRate("wikitable", Equi) == 0.3)
     assert(World.defaultShuffleRate("wikitable", Semantic(0.9)) == 0.4)
+  }
+  // Two corpora that share a name and sizes but not a seed (the case a
+  // memo keyed by corpus name cannot tell apart).
+  private def seeded(seed: Long): World.Corpus =
+    World.corpus(spark, LakeConfig.webtable(seed = seed), nRepo = 300, nTrain = 200, nQuery = 3)
+
+  test("corpora of different seeds at equal sizes are distinct, each from its own config") {
+    val (c1, c2) = (seeded(1L), seeded(2L))
+    assert(c1.cfg.seed == 1L && c2.cfg.seed == 2L)
+    assert(!(c1.repo eq c2.repo), "both seeds returned one corpus")
+    Seq(c1, c2).foreach { c =>
+      val own = c.repo == LakeGenerator.columns(spark, c.cfg, c.repo.size).collect().toSeq.sortBy(_.id)
+      assert(own, s"repository of seed ${c.cfg.seed} is not generated from its config")
+    }
+  }
+  test("a directly built band corpus gets labels from its own repository") {
+    val other = seeded(1L)
+    World.exact(spark, other, Equi, 10)
+    World.exact(spark, other, Semantic(0.9), 10)
+    val cfg2 = LakeConfig.webtable(seed = 2L)
+    val repoDs = LakeGenerator.columnsInSizeBand(spark, cfg2, other.repo.size, 5, 10,
+      salt = 0x8a0L).cache()
+    val band = World.Corpus(cfg2, repoDs.collect().toSeq.sortBy(_.id), other.train,
+      LakeGenerator.queriesInSizeBandLocal(cfg2, other.queries.size, 5, 10), repoDs, other.trainDs)
+    assert(band.repo.size == other.repo.size)
+
+    val px = Pexeso.build(band.repo.map(col => (col.id, col.cells)))
+    val sem = World.exact(spark, band, Semantic(0.9), 10)
+    assert(sem.keySet == band.queries.map(_.id).toSet)
+    assert(sem.values.exists(_.nonEmpty))
+    band.queries.foreach(q => assert(sem(q.id) == px.topK(q.cells, 0.9, 10)))
+
+    import spark.implicits._
+    val equi = World.exact(spark, band, Equi, 10)
+    assert(equi.values.exists(_.nonEmpty))
+    assert(equi == Joinability.equiTopKMap(spark, spark.createDataset(band.queries), repoDs, 10))
+    repoDs.unpersist()
   }
   test("entity joinability ('expert' truth) is within [0, 1] and symmetric bounds") {
     val q = c.queries.head

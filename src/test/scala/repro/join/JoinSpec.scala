@@ -148,7 +148,7 @@ class JosieSpec extends AnyFunSuite {
     val res = josie.topK(q, 3)
     assert(res.forall(_._2 <= 1.0))
     val distinctSize = q.distinct.size
-    res.foreach { case (id, jn) =>
+    res.foreach { case (_, jn) =>
       val ov = math.round(jn * distinctSize)
       assert(math.abs(jn - ov.toDouble / distinctSize) < 1e-9)
     }
