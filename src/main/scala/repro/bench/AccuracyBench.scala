@@ -21,62 +21,72 @@ object AccuracyBench {
 
   // ------------------------------------------------------------- retrieval
 
-  /** What a retrieval depends on besides its corpus; `method` names the
-    * embedder, so one name must mean one embedder per corpus.
+  /** Retrieval memo keys. A pre-trained embedder is keyed by its name, a
+    * trained model by itself (`World` memoizes models on their training
+    * corpus, so one model is indexed once per corpus). Embedders retrieve
+    * at kMax only: `DeepJoin.search` uses one ef for every k <= kMax, so
+    * their top-k is a prefix of it. LSH Ensemble's top-k is not (a
+    * partition with fewer than k banding candidates is scanned in full).
     */
-  private final case class Retrieval(method: String, k: Int)
+  private final case class Retrieval(embedder: Any)
+  private final case class Lsh(k: Int)
 
-  /** Top-k ids per query with an embedder, memoized on the corpus. */
+  /** Top-kMax ids per query with a pre-trained embedder, memoized on the corpus. */
   def retrieve(spark: SparkSession, c: World.Corpus, name: String,
-               emb: => ColumnEmbedder, k: Int = kMax): Map[Long, Seq[Long]] =
-    c.cached(Retrieval(name, k))(World.retrieveAll(World.index(spark, c, emb), c.queries, k))
+               emb: => ColumnEmbedder): Map[Long, Seq[Long]] =
+    c.cached(Retrieval(name))(searchAll(spark, c, emb))
 
-  /** LSH Ensemble top-k ids per query, memoized on the corpus. LSH
-    * Ensemble's top-k is not a prefix of its top-kMax (a partition with
-    * fewer than k banding candidates is scanned in full), hence the `k`.
+  /** Top-kMax ids per query with a model from `World.trainDeepJoin` or
+    * `World.trainMlp`, memoized on the corpus.
     */
+  def retrieve(spark: SparkSession, c: World.Corpus, model: ColumnEmbedder): Map[Long, Seq[Long]] =
+    c.cached(Retrieval(model))(searchAll(spark, c, model))
+
+  private def searchAll(spark: SparkSession, c: World.Corpus, emb: ColumnEmbedder) =
+    World.retrieveAll(World.index(spark, c, emb), c.queries, kMax)
+
+  /** LSH Ensemble top-k ids per query, memoized on the corpus. */
   def retrieveLsh(c: World.Corpus, k: Int = kMax): Map[Long, Seq[Long]] =
-    c.cached(Retrieval("LSH Ensemble", k)) {
+    c.cached(Lsh(k)) {
       val lsh = LshEnsemble.build(c.repo.map(col => (col.id, col.cells)))
       c.queries.map(q => q.id -> lsh.topK(q.cells, k).map(_._1)).toMap
     }
 
   // --------------------------------------------------------- method suites
 
-  /** The methods of Table 3 (equi-joins): name -> top-k retrieval over `c`,
-    * with the learned methods trained on `trainOn`.
+  /** The methods of Table 3 (equi-joins): name -> ranked ids over `c`, with
+    * the learned methods trained on `trainOn`; `k` is LSH Ensemble's top-k.
     */
   def equiMethods(spark: SparkSession, trainOn: World.Corpus, c: World.Corpus,
                   k: Int = kMax): Seq[(String, Map[Long, Seq[Long]])] = {
     val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
-    def r(name: String, emb: => ColumnEmbedder) = retrieve(spark, c, name, emb, k)
+    def r(name: String, emb: => ColumnEmbedder) = retrieve(spark, c, name, emb)
+    def trained(model: ColumnEmbedder) = retrieve(spark, c, model)
     Seq(
       "LSH Ensemble" -> retrieveLsh(c, k),
       "fastText" -> r("fastText", new FastTextEmbedder()),
       "BERT" -> r("BERT", new PlmEmbedder(PlmConfig.bert, ctxCol)),
       "MPNet" -> r("MPNet", new PlmEmbedder(PlmConfig.mpnet, ctxCol)),
       "TaBERT" -> r("TaBERT", new TabertEmbedder()),
-      "MLP" -> r("MLP", World.trainMlp(spark, trainOn)),
-      "DeepJoin-DistilBERT" -> r("DJ-DistilBERT-equi",
-        World.trainDeepJoin(spark, trainOn, Equi, PlmConfig.distilbert)),
-      "DeepJoin-MPNet" -> r("DJ-MPNet-equi",
-        World.trainDeepJoin(spark, trainOn, Equi, PlmConfig.mpnet)),
+      "MLP" -> trained(World.trainMlp(spark, trainOn)),
+      "DeepJoin-DistilBERT" ->
+        trained(World.trainDeepJoin(spark, trainOn, Equi, PlmConfig.distilbert)),
+      "DeepJoin-MPNet" -> trained(World.trainDeepJoin(spark, trainOn, Equi, PlmConfig.mpnet)),
     )
   }
 
   /** The methods of Tables 4–6 (semantic joins at threshold τ), trained on
-    * `trainOn` and retrieving over `c`.
+    * `trainOn` and retrieving over `c`; `k` as in [[equiMethods]].
     */
   def semanticMethods(spark: SparkSession, trainOn: World.Corpus, c: World.Corpus,
                       tau: Double, k: Int = kMax): Seq[(String, Map[Long, Seq[Long]])] = {
-    def r(name: String, emb: => ColumnEmbedder) = retrieve(spark, c, name, emb, k)
+    def trained(plm: PlmConfig) =
+      retrieve(spark, c, World.trainDeepJoin(spark, trainOn, Semantic(tau), plm))
     Seq(
       "LSH Ensemble" -> retrieveLsh(c, k),
-      "fastText" -> r("fastText", new FastTextEmbedder()),
-      "DeepJoin-DistilBERT" -> r(s"DJ-DistilBERT-sem$tau",
-        World.trainDeepJoin(spark, trainOn, Semantic(tau), PlmConfig.distilbert)),
-      "DeepJoin-MPNet" -> r(s"DJ-MPNet-sem$tau",
-        World.trainDeepJoin(spark, trainOn, Semantic(tau), PlmConfig.mpnet)),
+      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder()),
+      "DeepJoin-DistilBERT" -> trained(PlmConfig.distilbert),
+      "DeepJoin-MPNet" -> trained(PlmConfig.mpnet),
     )
   }
 
@@ -167,8 +177,7 @@ object AccuracyBench {
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
         printBlock(spark, c, jt, cfg.name, 26, TextOption.all.map { opt =>
-          opt.name -> retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}",
-            World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt))
+          opt.name -> retrieve(spark, c, World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt))
         })
       }
     }
@@ -184,9 +193,8 @@ object AccuracyBench {
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
         printBlock(spark, c, jt, cfg.name, 26, shuffleRates.map { rate =>
-          f"rate=$rate%.1f" -> retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate",
-            World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, TextOption.default,
-              shuffleRate = rate))
+          f"rate=$rate%.1f" -> retrieve(spark, c, World.trainDeepJoin(spark, c, jt,
+            PlmConfig.mpnet, TextOption.default, shuffleRate = rate))
         })
       }
     }

@@ -47,14 +47,12 @@ object StatsAndExpertBench {
       val c = World.corpus(spark, cfg)
       val px = c.pexeso
       val methods: Seq[(String, Map[Long, Seq[Long]])] = Seq(
-        "LSH Ensemble" -> AccuracyBench.retrieveLsh(c).map { case (q, ids) => q -> ids.take(k) },
-        "fastText" -> AccuracyBench.retrieve(spark, c, "fastText", new FastTextEmbedder())
-          .map { case (q, ids) => q -> ids.take(k) },
+        "LSH Ensemble" -> AccuracyBench.retrieveLsh(c),
+        "fastText" -> AccuracyBench.retrieve(spark, c, "fastText", new FastTextEmbedder()),
         "PEXESO" -> c.queries.map(q => q.id -> px.topK(q.cells, tau, k).map(_._1)).toMap,
-        "DeepJoin-MPNet" -> AccuracyBench.retrieve(spark, c, s"DJ-MPNet-sem$tau",
-          World.trainDeepJoin(spark, c, Semantic(tau), repro.embed.PlmConfig.mpnet))
-          .map { case (q, ids) => q -> ids.take(k) },
-      )
+        "DeepJoin-MPNet" -> AccuracyBench.retrieve(spark, c,
+          World.trainDeepJoin(spark, c, Semantic(tau), repro.embed.PlmConfig.mpnet)),
+      ).map { case (name, res) => name -> res.map { case (q, ids) => q -> ids.take(k) } }
       // Retrieved pool per query = union over methods (the paper's protocol
       // for making expert labeling tractable).
       val pools: Map[Long, Set[Long]] = c.queries.map { q =>

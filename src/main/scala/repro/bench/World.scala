@@ -26,9 +26,10 @@ final case class Semantic(tau: Double) extends JoinType {
   * positives, fine-tuned models, retrievals) is memoized on that
   * [[Corpus]] instance by [[Corpus.cached]], keyed only by what else the
   * value depends on: `Exact(jt, k)`, `Positives(jt)`, `Model(jt, plm,
-  * option, rate)`, `Mlp` here and `Retrieval(method, k)` in
-  * [[AccuracyBench]]. A corpus built directly (Table 8's size bands) thus
-  * never shares an entry with another corpus of the same name and size.
+  * option, rate)` and `Mlp` here, `Retrieval(embedder)` and `Lsh(k)` in
+  * [[AccuracyBench]] (a trained model is its own retrieval key). A corpus
+  * built directly (Table 8's size bands) thus never shares an entry with
+  * another corpus of the same name and size.
   *
   * Default sizes are the paper's scaled by ~1/170 for the accuracy corpora
   * (train 30K→1.2K, repository 1M→6K, 50→25 queries); `BENCH_SCALE`
@@ -236,10 +237,9 @@ object World {
     DeepJoin.buildIndex(spark, c.repoDs, embedder)
 
   /** Retrieve top-k ids for every query. */
-  def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn], k: Int,
-                  ef: Int = 96): Map[Long, Seq[Long]] =
+  def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn], k: Int): Map[Long, Seq[Long]] =
     queries.map { q =>
-      val (res, _) = DeepJoin.search(idx, q, k, ef)
+      val (res, _) = DeepJoin.search(idx, q, k)
       q.id -> res.map(_._1)
     }.toMap
 
